@@ -143,9 +143,12 @@ type perfResult struct {
 // perfSnapshot is the -json output: enough context to compare runs
 // across PRs without re-reading the benchmark code.
 type perfSnapshot struct {
-	Experiment string       `json:"experiment"`
-	GoVersion  string       `json:"go_version"`
+	Experiment string `json:"experiment"`
+	GoVersion  string `json:"go_version"`
+	// NumCPU is the host's logical CPU count; GOMAXPROCS is the number
+	// of CPUs the run actually used, which can be fewer.
 	NumCPU     int          `json:"num_cpu"`
+	GOMAXPROCS int          `json:"gomaxprocs"`
 	Workers    int          `json:"workers"`
 	Results    []perfResult `json:"results"`
 	// Obs is the engine's observability snapshot over the run's streamed
@@ -205,18 +208,24 @@ func measure(op, corpusName, doc string, f func() int) perfResult {
 	return perfResult{Op: op, Corpus: corpusName, Bytes: len(doc), MBPerS: mbs, Tuples: tuples}
 }
 
+// newSnapshot stamps results with the machine they were measured on.
+func newSnapshot(experiment string, results []perfResult) perfSnapshot {
+	return perfSnapshot{
+		Experiment: experiment,
+		GoVersion:  runtime.Version(),
+		NumCPU:     runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		Workers:    *workers,
+		Results:    results,
+	}
+}
+
 // writeSnapshot emits the machine-readable -json snapshot, if requested.
 func writeSnapshot(experiment string, results []perfResult) {
 	if *jsonPath == "" {
 		return
 	}
-	snap := perfSnapshot{
-		Experiment: experiment,
-		GoVersion:  runtime.Version(),
-		NumCPU:     runtime.NumCPU(),
-		Workers:    *workers,
-		Results:    results,
-	}
+	snap := newSnapshot(experiment, results)
 	if *obsFlag {
 		snap.Obs = lastEngineStats
 	}

@@ -1,9 +1,32 @@
 package main
 
 import (
+	"encoding/json"
+	"runtime"
 	"strings"
 	"testing"
 )
+
+// TestSnapshotStampsGOMAXPROCS checks that a snapshot records the
+// GOMAXPROCS the run used next to the host's CPU count, not in its place.
+func TestSnapshotStampsGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	snap := newSnapshot("EVAL", nil)
+	if snap.GOMAXPROCS != 1 || snap.NumCPU != runtime.NumCPU() {
+		t.Fatalf("stamp gomaxprocs=%d num_cpu=%d, want 1 and %d", snap.GOMAXPROCS, snap.NumCPU, runtime.NumCPU())
+	}
+	out, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fields map[string]any
+	if err := json.Unmarshal(out, &fields); err != nil {
+		t.Fatal(err)
+	}
+	if fields["gomaxprocs"] != 1.0 || fields["num_cpu"] != float64(runtime.NumCPU()) {
+		t.Fatalf("snapshot JSON lacks the stamp fields: %s", out)
+	}
+}
 
 func TestResolveExperiment(t *testing.T) {
 	exps, order := experiments()

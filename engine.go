@@ -18,8 +18,9 @@ import (
 type Engine = engine.Engine
 
 // EngineConfig tunes an Engine; the zero value selects defaults
-// (GOMAXPROCS workers, 128-plan cache, 16-segment batches, 64 KiB
-// chunks, stream-when-proven-local). EngineConfig.StreamIncremental is
+// (GOMAXPROCS workers, 128-plan cache, 16-segment batches on the
+// in-memory split path, 64 KiB chunks each dispatched as one batch when
+// streamed, stream-when-proven-local). EngineConfig.StreamIncremental is
 // a force-override with unsafe-assertion semantics — see
 // engine.Config.StreamIncremental for its exact contract.
 type EngineConfig = engine.Config

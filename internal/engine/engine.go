@@ -14,10 +14,10 @@
 //   - Documents may arrive as io.Reader streams: when the locality
 //     verdict proves it safe (or the operator forces it), the splitter
 //     is applied incrementally with carry-over across chunk boundaries,
-//     and completed segments are dispatched to the work-stealing
-//     split-evaluation executor (internal/parallel) with configurable
-//     batching and backpressure while the tail of the document is still
-//     being read; otherwise the stream is buffered whole, which is
+//     and the segments each read completes are dispatched as one batch
+//     to the work-stealing split-evaluation executor (internal/parallel),
+//     with backpressure, while the tail of the document is still being
+//     read; otherwise the stream is buffered whole, which is
 //     sound for arbitrary splitters.
 //   - Segment relations are shifted and merged into a deterministic
 //     (sorted, deduplicated) result, byte-identical to one-shot
@@ -55,9 +55,12 @@ type Config struct {
 	// starving the pool while still letting a lone request use spare
 	// cores. Results never depend on it.
 	RequestWorkers int
-	// Batch is the number of segments grouped into one dispatched task —
-	// the executor's scheduling grain (default 16). Results never depend
-	// on it.
+	// Batch is the number of segments grouped into one work-stealing
+	// task on the in-memory split path (Extract, and buffered
+	// ExtractReader documents) — that path's scheduling grain (default
+	// 16). Streamed documents ignore it: each read's segments go out as
+	// one batch, which the executor splits across its workers. Results
+	// never depend on it.
 	Batch int
 	// ChunkSize is the read size for streaming ingestion (default 64 KiB).
 	ChunkSize int
@@ -339,32 +342,25 @@ func (e *Engine) ExtractReader(ctx context.Context, plan *Plan, r io.Reader) (*s
 		defer close(batches)
 		g := e.newDocSegmenter(plan)
 		chunk := make([]byte, e.cfg.ChunkSize)
-		var pending []parallel.Segment
 		// Segmentation time accumulates across the incremental feed/flush
 		// calls and is recorded once per document when the producer exits.
 		var segDur time.Duration
 		defer func() { e.m.observeStage(StageSegment, segDur) }()
-		// send dispatches full batches; sending blocks when every worker
+		// send dispatches one feed's segments as one batch (the executor
+		// splits it across the workers); sending blocks when every worker
 		// is busy, which in turn pauses reading — backpressure all the
 		// way to the producer of r.
-		send := func(segs []parallel.Segment, final bool) bool {
-			pending = append(pending, segs...)
-			for len(pending) >= e.cfg.Batch || (final && len(pending) > 0) {
-				n := e.cfg.Batch
-				if n > len(pending) {
-					n = len(pending)
-				}
-				batch := make([]parallel.Segment, n)
-				copy(batch, pending[:n])
-				pending = pending[n:]
-				e.m.segments.Add(uint64(n))
-				select {
-				case batches <- batch:
-				case <-ctx.Done():
-					return false
-				}
+		send := func(segs []parallel.Segment) bool {
+			if len(segs) == 0 {
+				return true
 			}
-			return true
+			e.m.segments.Add(uint64(len(segs)))
+			select {
+			case batches <- segs:
+				return true
+			case <-ctx.Done():
+				return false
+			}
 		}
 		for {
 			n, err := r.Read(chunk)
@@ -373,7 +369,7 @@ func (e *Engine) ExtractReader(ctx context.Context, plan *Plan, r io.Reader) (*s
 				t0 := time.Now()
 				segs := g.feed(chunk[:n])
 				segDur += time.Since(t0)
-				if !send(segs, false) {
+				if !send(segs) {
 					readErr <- ctx.Err()
 					return
 				}
@@ -389,7 +385,7 @@ func (e *Engine) ExtractReader(ctx context.Context, plan *Plan, r io.Reader) (*s
 				t0 := time.Now()
 				segs := g.flush()
 				segDur += time.Since(t0)
-				if !send(segs, true) {
+				if !send(segs) {
 					readErr <- ctx.Err()
 					return
 				}

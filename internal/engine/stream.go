@@ -83,15 +83,21 @@ func (g *scanSegmenter) buffered() int {
 }
 
 // emit materializes scanner spans (already in absolute document
-// coordinates) as segments, slicing their text out of the retained
-// buffer.
+// coordinates, in document order) as segments. The buffer range the
+// spans cover is converted to a string once, and every segment's text
+// is a substring of it: two allocations per call, none per segment.
 func (g *scanSegmenter) emit(spans []span.Span) []parallel.Segment {
 	if len(spans) == 0 {
 		return nil
 	}
+	lo, hi := spans[0].Start, spans[0].End
+	for _, sp := range spans[1:] {
+		lo, hi = min(lo, sp.Start), max(hi, sp.End)
+	}
+	text := string(g.buf[lo-1-g.off : hi-1-g.off])
 	out := make([]parallel.Segment, len(spans))
 	for i, sp := range spans {
-		out[i] = parallel.Segment{Span: sp, Text: string(g.buf[sp.Start-1-g.off : sp.End-1-g.off])}
+		out[i] = parallel.Segment{Span: sp, Text: text[sp.Start-lo : sp.End-lo]}
 	}
 	g.last = spans[len(spans)-1]
 	return out
@@ -214,7 +220,8 @@ func newSegmenter(s *core.Splitter) *segmenter {
 
 func (g *segmenter) buffered() int { return len(g.buf) }
 
-// shiftAll converts buffer-relative spans into global document segments.
+// emit converts buffer-relative spans into global document segments,
+// their texts substrings of one copy of the buffer.
 func (g *segmenter) emit(spans []span.Span) []parallel.Segment {
 	if len(spans) == 0 {
 		return nil

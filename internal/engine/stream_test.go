@@ -1,9 +1,15 @@
 package engine
 
 import (
+	"context"
+	"fmt"
+	"io"
+	"strings"
 	"testing"
+	"testing/iotest"
 
 	"repro/internal/core"
+	"repro/internal/corpus"
 	"repro/internal/library"
 	"repro/internal/parallel"
 	"repro/internal/regexformula"
@@ -145,6 +151,77 @@ func TestScanSegmenterBailFallsBackWithoutDuplicates(t *testing.T) {
 			for i := range got {
 				if got[i] != want[i] {
 					t.Fatalf("doc %q chunk %d: segment %d = %+v, want %+v", doc, n, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// emptyFeedReader returns (0, nil) before every read of the underlying
+// reader, so the streamed path sees an empty feed between any two real
+// ones.
+type emptyFeedReader struct {
+	r    io.Reader
+	skip bool
+}
+
+func (r *emptyFeedReader) Read(p []byte) (int, error) {
+	if r.skip = !r.skip; r.skip {
+		return 0, nil
+	}
+	return r.r.Read(p)
+}
+
+// TestStreamPerFeedDispatchMatchesExtract pins the streamed path's
+// dispatch — each read's segments go out as one batch — to whole-
+// document Extract: the relation and the segment counter must not
+// depend on the read size, on how the reader fragments reads, or on
+// empty reads in between.
+func TestStreamPerFeedDispatchMatchesExtract(t *testing.T) {
+	const sentiment = `(.*[ .!?\n])?bad (y{[a-z]+})(([^a-z].*)?|)`
+	docs := map[string]string{
+		// A quarter of the sentences match: thousands of segments per
+		// 64 KiB read.
+		"dense reviews": strings.Join(corpus.Reviews(11, 320), "\n"),
+		"sparse corpus": corpus.SparseSentiment(3, 66<<10, 2048),
+	}
+	readers := map[string]func(io.Reader) io.Reader{
+		"full":     func(r io.Reader) io.Reader { return r },
+		"one-byte": iotest.OneByteReader,
+		"half":     iotest.HalfReader,
+		"data+EOF": iotest.DataErrReader,
+		"empty":    func(r io.Reader) io.Reader { return &emptyFeedReader{r: r} },
+	}
+	for name, doc := range docs {
+		if len(doc) <= 64<<10 {
+			t.Fatalf("%s: %d bytes fit in one 64 KiB read", name, len(doc))
+		}
+		for _, chunk := range []int{1, 7, 4096, 64 << 10} {
+			e := New(Config{Workers: 4, ChunkSize: chunk})
+			plan := mustPlan(t, e, Request{Spanner: sentiment, Splitter: sentenceFormula})
+			if !e.WillStream(plan) {
+				t.Fatalf("plan does not stream (verdicts %+v)", plan.Verdicts)
+			}
+			want, err := e.Extract(context.Background(), plan, doc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want.Len() == 0 {
+				t.Fatalf("%s: no tuples", name)
+			}
+			nsegs := uint64(len(plan.s.Split(doc)))
+			for rname, wrap := range readers {
+				what := fmt.Sprintf("%s, chunk %d, %s reader", name, chunk, rname)
+				before := e.Stats().Segments
+				got, err := e.ExtractReader(context.Background(), plan, wrap(strings.NewReader(doc)))
+				if err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+				if !got.Equal(want) {
+					t.Fatalf("%s: streamed %d tuples != Extract %d", what, got.Len(), want.Len())
+				}
+				if d := e.Stats().Segments - before; d != nsegs {
+					t.Fatalf("%s: Segments grew by %d, want %d", what, d, nsegs)
 				}
 			}
 		}

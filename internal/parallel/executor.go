@@ -31,11 +31,11 @@ type evaluator interface {
 	prepare()
 	// vars returns the variable list of destination dest's relation.
 	vars(dest int) []string
-	// eval appends seg's shifted result tuples to the relation(s) that
-	// rel hands out, carving tuple storage from arena. Single-spanner
-	// evaluators use rel(dest); the fused evaluator ignores dest and
-	// demultiplexes into rel(member) per member query.
-	eval(seg Segment, dest int, rel func(int) *span.Relation, arena *span.TupleArena)
+	// eval appends seg's shifted result tuples to the worker's
+	// accumulator, carving tuple storage from its arena. Single-spanner
+	// evaluators append to acc.rel(dest); the fused evaluator ignores
+	// dest and demultiplexes into acc.rel(member) per member query.
+	eval(seg Segment, dest int, acc *accumulator)
 }
 
 // singleEval evaluates one spanner; chunk destinations index documents
@@ -44,8 +44,8 @@ type singleEval struct{ ps *vsa.Automaton }
 
 func (e singleEval) prepare()          { e.ps.Prepare() }
 func (e singleEval) vars(int) []string { return e.ps.Vars }
-func (e singleEval) eval(seg Segment, dest int, rel func(int) *span.Relation, arena *span.TupleArena) {
-	e.ps.EvalAppend(seg.Text, seg.Span, rel(dest), arena)
+func (e singleEval) eval(seg Segment, dest int, acc *accumulator) {
+	e.ps.EvalAppend(seg.Text, seg.Span, acc.rel(dest), &acc.arena)
 }
 
 // multiEval evaluates a fused multi-query set; chunk destinations are
@@ -55,8 +55,8 @@ type multiEval struct{ m *vsa.Multi }
 
 func (e multiEval) prepare()            { e.m.Prepare() }
 func (e multiEval) vars(q int) []string { return e.m.Member(q).Vars }
-func (e multiEval) eval(seg Segment, _ int, rel func(int) *span.Relation, arena *span.TupleArena) {
-	e.m.EvalAppend(seg.Text, seg.Span, rel, arena)
+func (e multiEval) eval(seg Segment, _ int, acc *accumulator) {
+	e.m.EvalAppend(seg.Text, seg.Span, acc.relFn, &acc.arena)
 }
 
 // executor is one split-evaluation run: a set of workers, their deques
@@ -91,6 +91,10 @@ type accumulator struct {
 	ev    evaluator
 	arena span.TupleArena
 	rels  []*span.Relation // lazily created, indexed by chunk.dest (or member query)
+	// relFn is the method value acc.rel, bound once per worker: a
+	// method value passed on per segment would escape and allocate a
+	// closure per segment.
+	relFn func(int) *span.Relation
 }
 
 func (a *accumulator) rel(dest int) *span.Relation {
@@ -117,6 +121,7 @@ func newExecutor(ctx context.Context, ev evaluator, nw, ndest, grain int, recv f
 	}
 	for i := range x.accs {
 		x.accs[i] = accumulator{ev: ev, rels: make([]*span.Relation, ndest)}
+		x.accs[i].relFn = x.accs[i].rel
 	}
 	return x
 }
@@ -259,7 +264,7 @@ func (x *executor) exec(c chunk, self *deque, acc *accumulator, st *workerStats)
 		if x.ctx.Err() != nil {
 			break
 		}
-		x.ev.eval(seg, c.dest, acc.rel, &acc.arena)
+		x.ev.eval(seg, c.dest, acc)
 		st.bytes += uint64(len(seg.Text))
 		done++
 	}

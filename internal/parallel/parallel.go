@@ -96,10 +96,10 @@ func (o Options) grain(n int) int {
 // streamGrain is the chunk-splitting grain of the channel-fed
 // evaluators: a chunk arriving with more segments than this is halved
 // onto the receiving worker's deque (where peers can steal it) until it
-// fits. It matches the engine's default dispatch batch, so at that
-// default engine traffic is never re-split; re-splitting a larger
-// configured batch is harmless (the halves stay on, or near, the
-// receiving worker).
+// fits. The engine sends each read's segments as one batch (thousands
+// of segments per 64 KiB read on sentence splitters), so this halving
+// is what spreads a streamed document across the pool; the halves stay
+// on, or near, the receiving worker.
 const streamGrain = 16
 
 // SplitEval evaluates ps on every segment using the given number of
@@ -133,14 +133,13 @@ func SplitEvalCtx(ctx context.Context, ps *vsa.Automaton, segments []Segment, op
 // already being evaluated. Idle workers block on the channel, so its
 // capacity bounds the queued work and sends into batches block once the
 // pool is saturated — the backpressure the serving daemon relies on to
-// throttle ingestion. A received batch larger than the engine's dispatch
-// grain is split onto the receiving worker's deque, where the other
-// workers steal it. The merged relation is deduplicated and sorted, so
-// the result is deterministic regardless of arrival order and steal
-// schedule. On cancellation the workers drain nothing further and ctx's
-// error is returned with the partial result. Only opts.Workers and
-// opts.Metrics apply: the scheduling grain of this path is the arriving
-// batch size (re-split at streamGrain).
+// throttle ingestion. A received batch larger than streamGrain is split
+// onto the receiving worker's deque, where the other workers steal it.
+// The merged relation is deduplicated and sorted, so the result is
+// deterministic regardless of arrival order and steal schedule. On
+// cancellation the workers drain nothing further and ctx's error is
+// returned with the partial result. Only opts.Workers and opts.Metrics
+// apply: the scheduling grain of this path is streamGrain.
 func SplitEvalBatches(ctx context.Context, ps *vsa.Automaton, batches <-chan []Segment, opts Options) (*span.Relation, error) {
 	recv := func(ctx context.Context) (chunk, bool) {
 		select {

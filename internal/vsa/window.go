@@ -35,6 +35,7 @@ package vsa
 // EvalBool prescan plus whole-document simulation.
 
 import (
+	"strings"
 	"sync"
 
 	"repro/internal/lazydfa"
@@ -201,35 +202,44 @@ func (s *scanProg) flagsOf(set []int32) uint8 {
 // later boundary can complete a match.
 func (s *scanProg) forward(p *evalProg, doc string, ws *windowScratch) bool {
 	const rlockChunk = 1 << 12
-	w := s.dfa.Walk()
+	ws.w = s.dfa.Walk()
+	// states is the walker's snapshot in a local, for the per-byte
+	// lookup; it is refreshed after every call that may cycle the lock
+	// (Yield, Resolve, and the gate, whose skip-set builds resolve).
+	states := ws.w.States
 	cur := dfaStart
 	ws.checkpoints = append(ws.checkpoints[:0], dfaStart)
 	ws.ends = ws.ends[:0]
 	ws.finalsAtEnd = false
 	ws.skippedBytes = 0
-	var gate lazydfa.SkipGate
+	gate := &ws.gate
 	if !s.noSkip {
+		ws.scan, ws.prog, ws.doc = s, p, doc
+		*gate = lazydfa.SkipGate{}
 		gate.Init(&s.skips)
-		gate.Bind(func(q int32) *lazydfa.SkipSet { return s.skipSetScan(p, &w, q) },
-			lazydfa.StringIndex(doc))
+		gate.Bind(ws.build, ws.index)
 	}
+	defer func() {
+		ws.w.Release()
+		ws.scan, ws.prog, ws.doc = nil, nil, ""
+	}()
 	for i := 0; i < len(doc); i++ {
 		if i&(rlockChunk-1) == rlockChunk-1 {
 			// Let pending writers in periodically; see EvalBool.
-			w.Yield()
+			ws.w.Yield()
+			states = ws.w.States
 		}
 		c := p.classOf[doc[i]]
-		t := w.States[cur].Trans(c)
+		t := states[cur].Trans(c)
 		if t <= dfaDead { // rare: unresolved, overflowed or dead
 			if t == dfaUnknown {
-				t = w.Resolve(cur, c)
+				t = ws.w.Resolve(cur, c)
+				states = ws.w.States
 			}
 			if t == dfaOverflow {
-				w.Release()
 				return false
 			}
 			if t == dfaDead {
-				w.Release()
 				return true
 			}
 		}
@@ -240,7 +250,9 @@ func (s *scanProg) forward(p *evalProg, doc string, ws *windowScratch) bool {
 			// needed an ends entry, and the state at each skipped boundary
 			// is a pure function of the byte before it (sk.Sync) — that is
 			// the skip's soundness invariant.
-			if sk := gate.Step(cur, t); sk != nil {
+			sk := gate.Step(cur, t)
+			states = ws.w.States
+			if sk != nil {
 				if j, _ := gate.Jump(sk, i+1, len(doc)); j > i+1 {
 					// Checkpoint every stride boundary in [i+1, j): the jump
 					// bypasses the per-byte append below for them (boundary j
@@ -257,7 +269,8 @@ func (s *scanProg) forward(p *evalProg, doc string, ws *windowScratch) bool {
 					}
 					ws.skippedBytes += j - (i + 1)
 					if j-(i+1) >= rlockChunk {
-						w.Yield()
+						ws.w.Yield()
+						states = ws.w.States
 					}
 					t = sk.Sync(doc[j-1])
 					i = j - 1 // boundary j is handled by the normal code below
@@ -269,7 +282,7 @@ func (s *scanProg) forward(p *evalProg, doc string, ws *windowScratch) bool {
 		if b&(checkpointStride-1) == 0 {
 			ws.checkpoints = append(ws.checkpoints, cur)
 		}
-		if w.States[cur].Payload&scanFlagEnd != 0 {
+		if states[cur].Payload&scanFlagEnd != 0 {
 			if n := len(ws.ends); n > 0 && ws.ends[n-1] == int32(b) {
 				ws.ends[n-1] = int32(b + 1)
 			} else {
@@ -277,8 +290,7 @@ func (s *scanProg) forward(p *evalProg, doc string, ws *windowScratch) bool {
 			}
 		}
 	}
-	ws.finalsAtEnd = w.States[cur].Payload&scanFlagFinals != 0
-	w.Release()
+	ws.finalsAtEnd = states[cur].Payload&scanFlagFinals != 0
 	return true
 }
 
@@ -430,9 +442,34 @@ type windowScratch struct {
 	// skippedBytes counts bytes the forward pass jumped over via the
 	// literal-prefilter skip loop; flushed into EvalMetrics by EvalAppend.
 	skippedBytes int
+
+	// The forward pass's read walker and skip gate. The gate's
+	// callbacks are bound once per scratch (newWindowScratch) and read
+	// the scan in progress — scan, prog, doc, set by forward — through
+	// the scratch, so a forward pass allocates no closures and the
+	// walker they reach is not moved to the heap per call.
+	w     lazydfa.Walker[uint8]
+	gate  lazydfa.SkipGate
+	scan  *scanProg
+	prog  *evalProg
+	doc   string
+	build func(q int32) *lazydfa.SkipSet
+	index func(from, to int, b byte) int
 }
 
-var windowPool = sync.Pool{New: func() any { return new(windowScratch) }}
+var windowPool = sync.Pool{New: func() any { return newWindowScratch() }}
+
+func newWindowScratch() *windowScratch {
+	ws := new(windowScratch)
+	ws.build = func(q int32) *lazydfa.SkipSet { return ws.scan.skipSetScan(ws.prog, &ws.w, q) }
+	ws.index = func(from, to int, b byte) int {
+		if i := strings.IndexByte(ws.doc[from:to], b); i >= 0 {
+			return from + i
+		}
+		return -1
+	}
+	return ws
+}
 
 func sortInt32s(xs []int32) {
 	// Subsets are tiny (frontier-sized); insertion sort beats sort.Slice
