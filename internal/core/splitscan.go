@@ -62,10 +62,9 @@ type scanPayload struct {
 // every lazydfa client it is warmed lazily and shared: concurrent
 // ScanRuns walk one transition cache under the engine's read lock.
 type splitScanner struct {
-	classOf  [256]uint8
-	nclasses int
-	dfa      *lazydfa.DFA[scanPayload]
-	start    int32
+	classOf [256]uint8
+	dfa     *lazydfa.DFA[scanPayload]
+	start   int32
 	// skips memoizes per-DFA-state trigger sets for the scan skip loop
 	// (see internal/vsa/prefilter.go); noSkip honors DisablePrefilter.
 	skips  lazydfa.SkipCache
@@ -127,7 +126,7 @@ func buildSplitScanner(s *Splitter) *splitScanner {
 		}
 	}
 
-	sc := &splitScanner{classOf: classOf, nclasses: nc, noSkip: a.PrefilterDisabled()}
+	sc := &splitScanner{classOf: classOf, noSkip: a.PrefilterDisabled()}
 	sc.dfa = lazydfa.New(lazydfa.Config[scanPayload]{
 		Classes: nc,
 		States:  n,
@@ -219,19 +218,8 @@ func buildSplitScanner(s *Splitter) *splitScanner {
 // cannot skip (no synchronized set, too many triggers, or an overflowed
 // transition row).
 func (sc *splitScanner) skipSet(w *lazydfa.Walker[scanPayload], cur int32) *lazydfa.SkipSet {
-	return vsa.BuildSkipSet(sc.nclasses, sc.classOf[:],
-		func(q int32) bool { return q > lazydfa.Dead },
-		func(q int32, c uint8) bool { return w.States[q].Payload.ev[c] != 0 },
-		func(q int32, c uint8) (int32, bool) {
-			t := w.States[q].Trans(c)
-			if t == lazydfa.Unknown {
-				t = w.Resolve(q, c)
-			}
-			if t == lazydfa.Overflow {
-				return 0, false
-			}
-			return t, true
-		}, cur)
+	return w.BuildSkipSet(&sc.classOf, cur, nil,
+		func(p *scanPayload, c uint8) bool { return p.ev[c] != 0 })
 }
 
 // usefulStates marks the states lying on some accepting run: reachable

@@ -11,7 +11,8 @@
 //
 //   - vsa's Boolean-evaluation DFA (payload: subset contains a final
 //     state),
-//   - vsa's forward end-detection scan DFA (payload: end/finals flags),
+//   - vsa's fused forward end-detection scan DFA (payload: per-member
+//     end/finals bitmaps; a lone spanner scans as a one-member group),
 //   - vsa's backward start-narrowing DFA (payload: per-class core-start
 //     flags; uses seed injection),
 //   - core's compiled splitter scanner (payload: per-class open/close/
@@ -23,7 +24,8 @@
 // between Walk and Release; Resolve/Inject/Yield drop it around the
 // write-locked fill and refresh the Walker's state snapshot, so clients
 // keep a single bounds-check-free array lookup per byte on the hot
-// path. State ids are stable for the lifetime of the DFA — a client may
+// path. Walker.BuildSkipSet builds every client's synchronized skip
+// sets (skip.go). State ids are stable for the lifetime of the DFA — a client may
 // save one (e.g. to resume a streamed scan at a chunk boundary) and
 // walk on from it later.
 package lazydfa

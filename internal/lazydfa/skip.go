@@ -357,3 +357,142 @@ func (g *SkipGate) Jump(s *SkipSet, from, n int) (to int, hit bool) {
 	}
 	return to, hit
 }
+
+// buildRounds bounds the trigger/closure fixpoint iteration of
+// BuildSkipSet. Real sets settle in two or three rounds (the first
+// round may chase a literal's progress chain before the synchronization
+// test prunes it); failure to converge means "unskippable".
+const buildRounds = 6
+
+// BuildSkipSet computes the synchronized skip set containing state cur,
+// or nil when none exists. The result satisfies, for every byte b
+// outside its trigger set: all states of the set transition on b to the
+// SAME state (recorded in the sync table), that state is inside the set,
+// it is eligible, and no member raises an event on b. Those invariants
+// are what make a jump over trigger-free bytes exact: the state at any
+// boundary inside the jump is sync[previous byte], regardless of where
+// in the set the scan was.
+//
+// classOf maps bytes to the DFA's classes. Transitions are resolved
+// through the walker; an Overflow row is unknowable and aborts the
+// build. Dead is never eligible — every client exits on it — and
+// eligible (optional) vetoes further states that may not be skipped
+// through: states with per-boundary obligations, such as a candidate
+// match end. eventful (optional) marks payload×class pairs where a
+// client event fires; those classes trigger.
+//
+// The fixpoint alternates two passes: classify every class against the
+// candidate set (trigger iff the images differ, leave the set, are
+// ineligible, or raise events), then re-close {cur} under the
+// non-trigger classes. A closure that would exceed MaxSkipStates is
+// truncated and the round marked incomplete — the next round's
+// classification over the truncated set prunes the expansion (this is
+// how a literal's progress chain, reachable in one step but not
+// synchronized, is cut). Convergence requires a complete closure that
+// reproduces the set.
+func (w *Walker[P]) BuildSkipSet(classOf *[256]uint8, cur int32,
+	eligible func(p *P) bool, eventful func(p *P, c uint8) bool) *SkipSet {
+	ok := func(q int32) bool {
+		return q > Dead && (eligible == nil || eligible(&w.States[q].Payload))
+	}
+	if !ok(cur) {
+		return nil
+	}
+	nclasses := w.d.cfg.Classes
+	set := []int32{cur}
+	trig := make([]bool, nclasses)
+	img := make([]int32, nclasses)
+	converged := false
+	for round := 0; round < buildRounds && !converged; round++ {
+		for c := 0; c < nclasses; c++ {
+			trig[c] = false
+			img[c] = -1
+			for _, q := range set {
+				t := w.probe(q, uint8(c))
+				if t == Overflow {
+					return nil
+				}
+				if eventful != nil && eventful(&w.States[q].Payload, uint8(c)) {
+					trig[c] = true
+					break
+				}
+				if img[c] == -1 {
+					img[c] = t
+				} else if img[c] != t {
+					trig[c] = true
+					break
+				}
+			}
+			if !trig[c] && !ok(img[c]) {
+				trig[c] = true
+			}
+		}
+		next := []int32{cur}
+		complete := true
+		for qi := 0; qi < len(next); qi++ {
+			for c := 0; c < nclasses; c++ {
+				if trig[c] {
+					continue
+				}
+				t := w.probe(next[qi], uint8(c))
+				if t == Overflow {
+					return nil
+				}
+				if !containsState(next, t) {
+					if len(next) == MaxSkipStates {
+						complete = false
+						continue
+					}
+					next = append(next, t)
+				}
+			}
+		}
+		converged = complete && sameStates(next, set)
+		set = next
+	}
+	if !converged {
+		return nil
+	}
+	var sync [256]int32
+	var triggers []byte
+	for x := 0; x < 256; x++ {
+		if c := classOf[x]; trig[c] {
+			sync[x] = -1
+			triggers = append(triggers, byte(x))
+		} else {
+			sync[x] = img[c]
+		}
+	}
+	return NewSkipSet(triggers, set, &sync)
+}
+
+// probe returns the transition of q on class c, resolving it on a
+// cache miss: a state id, or Overflow.
+func (w *Walker[P]) probe(q int32, c uint8) int32 {
+	t := w.States[q].trans[c]
+	if t == Unknown {
+		t = w.Resolve(q, c)
+	}
+	return t
+}
+
+func containsState(set []int32, q int32) bool {
+	for _, v := range set {
+		if v == q {
+			return true
+		}
+	}
+	return false
+}
+
+func sameStates(a, b []int32) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for _, q := range a {
+		if !containsState(b, q) {
+			return false
+		}
+	}
+	return true
+}

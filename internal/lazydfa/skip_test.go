@@ -253,3 +253,49 @@ func TestSkipGateUnskippableStateCachedOnce(t *testing.T) {
 		t.Fatalf("unskippable state built %d times, want 1", builds)
 	}
 }
+
+// TestBuildSkipSet runs the skip-set fixpoint on the ..·0·1 DFA of
+// lazydfa_test.go, with byte '1' as class 1 and every other byte as
+// class 0. The start state {0} and its class-0 successor {0,1} form a
+// synchronized set: every byte but '1' maps both to {0,1}, while '1'
+// separates them ({0} vs {0,2}) and so triggers.
+func TestBuildSkipSet(t *testing.T) {
+	var classOf [256]uint8
+	classOf['1'] = 1
+	d := newTestDFA(0, nil)
+	start := d.Intern([]int32{0})
+	w := d.Walk()
+	defer w.Release()
+	s := w.BuildSkipSet(&classOf, start, nil, nil)
+	if s == nil {
+		t.Fatal("no skip set around the start state")
+	}
+	if string(s.Triggers()) != "1" {
+		t.Fatalf("Triggers = %q, want \"1\"", s.Triggers())
+	}
+	sync := s.Sync('x')
+	if len(s.States()) != 2 || !s.Contains(start) || !s.Contains(sync) || sync == start {
+		t.Fatalf("States = %v, Sync('x') = %d; want {start, {0,1}}", s.States(), sync)
+	}
+	if got := w.States[sync].Set; len(got) != 2 || got[0] != 0 || got[1] != 1 {
+		t.Fatalf("sync state holds %v, want [0 1]", got)
+	}
+	// Dead, a vetoed state, and an event on every class leave nothing to
+	// skip; so does an overflowed transition row.
+	if w.BuildSkipSet(&classOf, Dead, nil, nil) != nil {
+		t.Error("Dead must never be skippable")
+	}
+	if w.BuildSkipSet(&classOf, start, func(*bool) bool { return false }, nil) != nil {
+		t.Error("an ineligible start state must not be skippable")
+	}
+	if w.BuildSkipSet(&classOf, start, nil, func(*bool, uint8) bool { return true }) != nil {
+		t.Error("events on every class must make every byte a trigger")
+	}
+	small := newTestDFA(2, nil) // Dead + start: every successor overflows
+	smallStart := small.Intern([]int32{0})
+	ws := small.Walk()
+	defer ws.Release()
+	if ws.BuildSkipSet(&classOf, smallStart, nil, nil) != nil {
+		t.Error("an overflowed row must abort the build")
+	}
+}

@@ -19,8 +19,8 @@ import (
 // cross-checked by fuzzing.
 //
 // Determinization itself lives in internal/lazydfa — the interning,
-// overflow and locking machinery is shared with the forward scan DFA
-// (window.go), the backward narrowing DFA (reverse.go) and core's
+// overflow and locking machinery is shared with the fused forward scan
+// DFA (multi.go), the backward narrowing DFA (reverse.go) and core's
 // compiled splitter scanner. This client's payload is a single bool:
 // whether the subset contains a final-bearing state.
 
@@ -165,39 +165,55 @@ func (a *Automaton) EvalBool(doc string) bool {
 		return false
 	}
 	p := a.prog()
-	w := p.dfa.Walk()
+	sc := scanPool.Get().(*scanScratch)
+	defer scanPool.Put(sc)
+	sc.bw = p.dfa.Walk()
+	w := &sc.bw
+	// states is the walker's snapshot in a local, refreshed after every
+	// call that may cycle the lock (Yield, Resolve, and the gate, whose
+	// skip-set builds resolve).
+	states := w.States
 	cur := dfaStart
-	var gate lazydfa.SkipGate
+	gate := &sc.gate
 	if !a.prefDisabled {
+		// The gate's callbacks are bound once per pooled scratch and read
+		// p and doc through it (see scanScratch).
+		sc.p, sc.doc = p, doc
+		*gate = lazydfa.SkipGate{}
 		gate.Init(&p.skips)
-		gate.Bind(func(q int32) *lazydfa.SkipSet { return p.skipSetBool(&w, q) },
-			lazydfa.StringIndex(doc))
+		gate.Bind(sc.buildBool, sc.index)
 	}
+	defer func() { sc.p, sc.doc = nil, "" }()
 	for i := 0; i < len(doc); i++ {
 		if i&(rlockChunk-1) == rlockChunk-1 {
 			w.Yield()
+			states = w.States
 		}
 		c := p.classOf[doc[i]]
-		t := w.States[cur].Trans(c)
+		t := states[cur].Trans(c)
 		if t == dfaUnknown {
 			t = w.Resolve(cur, c)
+			states = w.States
 		}
 		if t == dfaDead {
 			w.Release()
 			return false
 		}
 		if t == dfaOverflow {
-			set := append([]int32(nil), w.States[cur].Set...)
+			set := append([]int32(nil), states[cur].Set...)
 			w.Release()
 			return p.simBool(set, doc[i:])
 		}
 		if !a.prefDisabled {
 			// The walk has been confined to a couple of states for a while:
 			// jump to the next byte that can break out (prefilter.go).
-			if s := gate.Step(cur, t); s != nil {
+			s := gate.Step(cur, t)
+			states = w.States
+			if s != nil {
 				if j, _ := gate.Jump(s, i+1, len(doc)); j > i+1 {
 					if j-(i+1) >= rlockChunk {
 						w.Yield()
+						states = w.States
 					}
 					t = s.Sync(doc[j-1])
 					i = j - 1
@@ -206,7 +222,7 @@ func (a *Automaton) EvalBool(doc string) bool {
 		}
 		cur = t
 	}
-	final := w.States[cur].Payload
+	final := states[cur].Payload
 	w.Release()
 	return final
 }

@@ -229,13 +229,16 @@ func (a *Automaton) EvalAppend(doc string, by span.Span, rel *span.Relation, are
 	p := a.prog()
 	delta := by.Start - 1
 	if loc := a.localizer(); loc.ok {
-		ws := windowPool.Get().(*windowScratch)
-		defer windowPool.Put(ws)
-		if loc.scan.forward(p, doc, ws) {
-			if m != nil && ws.skippedBytes > 0 {
-				m.PrefilterSkippedBytes.Add(uint64(ws.skippedBytes))
+		// The one-member scan starts from the full admission mask: the
+		// factor gate above already admitted doc.
+		g := loc.group
+		sc := scanPool.Get().(*scanScratch)
+		defer scanPool.Put(sc)
+		if g.forward(doc, g.fullStart, sc) {
+			if m != nil && sc.skipped > 0 {
+				m.PrefilterSkippedBytes.Add(uint64(sc.skipped))
 			}
-			if len(ws.ends) == 0 && !ws.finalsAtEnd {
+			if sc.empty(0) {
 				// No boundary where a match can complete: ⟦a⟧(d) = ∅,
 				// and the simulation machinery was never touched.
 				if m != nil {
@@ -244,24 +247,19 @@ func (a *Automaton) EvalAppend(doc string, by span.Span, rel *span.Relation, are
 				}
 				return
 			}
-			if loc.narrow(p, doc, ws) {
+			if g.narrow(0, doc, sc) {
 				if m != nil {
 					now := time.Now()
 					m.LocalizeNS.AddDuration(now.Sub(t0))
 					t0 = now
-					m.Windows.Add(uint64(len(ws.windows)))
+					m.Windows.Add(uint64(len(sc.windows)))
 					var wb uint64
-					for _, w := range ws.windows {
+					for _, w := range sc.windows {
 						wb += uint64(w.hi - w.lo)
 					}
 					m.WindowBytes.Add(wb)
 				}
-				run := newEvalRun(a, p, rel, doc, delta, arena)
-				defer run.release()
-				for _, w := range ws.windows {
-					seed := loc.seedAt(p, doc, w.lo, ws)
-					run.window(w.lo, w.hi, seed, w.hi == len(doc))
-				}
+				g.simulate(0, doc, rel, delta, arena, sc)
 				if m != nil {
 					m.SimNS.AddDuration(time.Since(t0))
 				}

@@ -1,13 +1,17 @@
 package vsa
 
-// This file implements multi-query shared evaluation: N compiled
-// spanners ("members") fused so that ONE forward pass over a document
-// drives the match-window localization of every member at once
-// (DESIGN.md, "Multi-query shared evaluation"). The construction is the
-// disjoint union of the members' forward end-detection scan automata
-// (window.go) — the spanner-algebra union construction specialized to
-// the Boolean scan layer, with per-member namespacing done by state
-// offsets instead of tag renaming:
+// This file implements the fused forward scan — the one forward
+// end-detection walk of the package — and multi-query shared
+// evaluation on top of it: N compiled spanners ("members") fused so that
+// ONE forward pass over a document drives the match-window localization
+// of every member at once (DESIGN.md, "Multi-query shared evaluation").
+// A lone automaton is the one-member case: its localizer holds a
+// one-member group, so Eval and Multi run the same walk. The
+// construction is the disjoint union of the members' forward
+// end-detection scan automata (scanProg, window.go) — the
+// spanner-algebra union construction specialized to the Boolean scan
+// layer, with per-member namespacing done by state offsets instead of
+// tag renaming:
 //
 //   - Fused NFA states are member scan states shifted by a per-member
 //     base offset, so member i's state q becomes base[i]+q and no two
@@ -21,7 +25,7 @@ package vsa
 //     emit-truncated end state / a final-bearing state. Demultiplexing
 //     is reading those bitmaps: the single pass yields each member its
 //     own candidate match-end runs and its own finals-at-end flag,
-//     byte-identical to the member's own scanProg.forward.
+//     exactly the ones a one-member scan of that member records.
 //   - Variable tags never enter the fused automaton. The tagged frontier
 //     simulation (the only part that touches OpSets) runs per member,
 //     on the member's own compiled program, inside the member's own
@@ -33,14 +37,17 @@ package vsa
 // the fused start subset (its relation is provably empty — the factor
 // is mandatory in every accepted document), while the remaining members
 // scan at full strength. Each distinct admission mask gets its own
-// interned fused start state, cached per group.
+// interned fused start state, cached per group. A single query's
+// EvalAppend runs its own factor gate and starts from the full mask.
 //
 // Fallbacks preserve byte-identity in every corner: members without a
 // localizer are evaluated standalone per document; a fused-DFA overflow
-// falls every member of the group back to its standalone EvalAppend;
-// a single member's backward-narrowing overflow falls only that member
-// back. Differential fuzzing (parallel.FuzzMultiVsSequential) holds the
-// whole construction to "byte-identical per query to Eval".
+// falls every member of the group back to its standalone EvalAppend
+// (whose own one-member scan falls back to whole-document evaluation
+// if it overflows too); a single member's backward-narrowing overflow
+// falls only that member back. Differential fuzzing
+// (parallel.FuzzMultiVsSequential, FuzzMultiVsMembers) holds the whole
+// construction to "byte-identical per query to Eval".
 
 import (
 	"math/bits"
@@ -48,7 +55,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/alphabet"
 	"repro/internal/lazydfa"
 	"repro/internal/obs"
 	"repro/internal/span"
@@ -117,11 +123,11 @@ type Multi struct {
 // members: the combined byte-class table, the disjoint-union scan NFA
 // and its lazy DFA, and the per-admission-mask start states.
 type multiGroup struct {
-	members []int        // indices into Multi.members, by slot
-	autos   []*Automaton // aliases, by slot
+	members []int        // indices into Multi.members, by slot (nil in a localizer's group)
+	autos   []*Automaton // by slot
 	progs   []*evalProg
 	locs    []*localizer
-	factors []string // admission factor per slot ("" = always admitted)
+	factors []string // Multi's admission factor per slot ("" = always admitted)
 
 	base     []int32 // fused-state offset per slot
 	nstates  int     // total fused NFA states
@@ -131,8 +137,9 @@ type multiGroup struct {
 	owner    []uint8   // fused NFA state → slot
 	local    []int32   // fused NFA state → member-local state
 
-	fullMask uint64
-	noSkip   bool
+	fullMask  uint64
+	fullStart int32 // interned start state of fullMask, read without mu
+	noSkip    bool
 
 	dfa   *lazydfa.DFA[multiFlags]
 	skips lazydfa.SkipCache
@@ -188,14 +195,27 @@ func (m *Multi) build() {
 }
 
 func (m *Multi) buildGroup(idx []int) *multiGroup {
-	g := &multiGroup{members: append([]int(nil), idx...)}
-	var classes []alphabet.Class
+	var autos []*Automaton
+	var locs []*localizer
 	for _, mi := range idx {
-		a := m.members[mi]
-		g.autos = append(g.autos, a)
-		g.progs = append(g.progs, a.prog())
-		g.locs = append(g.locs, a.localizer())
+		autos = append(autos, m.members[mi])
+		locs = append(locs, m.members[mi].localizer())
+	}
+	g := newGroup(autos, locs)
+	g.members = append([]int(nil), idx...)
+	for _, a := range autos {
 		g.factors = append(g.factors, a.Prefilter().Factor)
+	}
+	return g
+}
+
+// newGroup fuses the forward scans of localizable members, given with
+// their localizers (a localizer under construction builds its own
+// one-member group, so newGroup must not call Automaton.localizer).
+func newGroup(autos []*Automaton, locs []*localizer) *multiGroup {
+	g := &multiGroup{autos: autos, locs: locs}
+	for _, a := range autos {
+		g.progs = append(g.progs, a.prog())
 		if a.prefDisabled {
 			// One member opting out of the prefilter disables the fused
 			// skip loop for the whole group: skips never change results,
@@ -203,17 +223,30 @@ func (m *Multi) buildGroup(idx []int) *multiGroup {
 			// differential tests hold the fused pass to it.
 			g.noSkip = true
 		}
-		classes = append(classes, a.Classes()...)
 	}
-	var reps []byte
-	g.classOf, reps = alphabet.ClassTable(classes)
-	g.nclasses = len(reps)
+	// The combined byte classes are the common refinement of the
+	// members' partitions: two bytes share a combined class iff they
+	// share every member's class. A one-member group keeps its member's.
+	g.classOf, g.nclasses = g.progs[0].classOf, g.progs[0].nclasses
+	for _, p := range g.progs[1:] {
+		// ids[(combined, member) class pair] = refined class + 1.
+		ids := make([]uint16, g.nclasses*p.nclasses)
+		n := 0
+		for x := range 256 {
+			k := int(g.classOf[x])*p.nclasses + int(p.classOf[x])
+			if ids[k] == 0 {
+				n++
+				ids[k] = uint16(n)
+			}
+			g.classOf[x] = uint8(ids[k] - 1)
+		}
+		g.nclasses = n
+	}
 	for _, p := range g.progs {
-		// The combined partition refines every member's: all bytes of a
-		// combined class share the member class of any representative.
+		// All bytes of a combined class share one member class.
 		cm := make([]uint8, g.nclasses)
-		for c, rep := range reps {
-			cm[c] = p.classOf[rep]
+		for x := range 256 {
+			cm[g.classOf[x]] = p.classOf[x]
 		}
 		g.classMap = append(g.classMap, cm)
 		g.base = append(g.base, int32(g.nstates))
@@ -227,8 +260,8 @@ func (m *Multi) buildGroup(idx []int) *multiGroup {
 			g.local[int(g.base[s])+q] = int32(q)
 		}
 	}
-	g.fullMask = ^uint64(0) >> (64 - uint(len(idx)))
-	maxStates := maxDFAStates * len(idx)
+	g.fullMask = ^uint64(0) >> (64 - uint(len(autos)))
+	maxStates := maxDFAStates * len(autos)
 	if maxStates > maxMultiDFAStates {
 		maxStates = maxMultiDFAStates
 	}
@@ -259,8 +292,8 @@ func (m *Multi) buildGroup(idx []int) *multiGroup {
 			return f
 		},
 	})
-	g.starts = make(map[uint64]int32)
-	g.starts[g.fullMask] = g.dfa.Intern(g.startSet(g.fullMask))
+	g.fullStart = g.dfa.Intern(g.startSet(g.fullMask)) // = dfaStart
+	g.starts = map[uint64]int32{g.fullMask: g.fullStart}
 	return g
 }
 
@@ -282,6 +315,9 @@ func (g *multiGroup) startSet(mask uint64) []int32 {
 // is safe at any time (unlike Seed); Overflow at the state bound is
 // returned to the caller, which falls the group back.
 func (g *multiGroup) startFor(mask uint64) int32 {
+	if mask == g.fullMask {
+		return g.fullStart
+	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if s, ok := g.starts[mask]; ok {
@@ -294,138 +330,210 @@ func (g *multiGroup) startFor(mask uint64) int32 {
 	return s
 }
 
-// multiScratch holds the per-evaluation buffers of one fused pass:
-// fused-DFA checkpoints, per-slot candidate end runs, and the seed
-// projection buffer. Pooled, like windowScratch.
-type multiScratch struct {
+// scanScratch holds the per-evaluation buffers of one localized
+// evaluation: forward-scan checkpoints, per-slot candidate end runs and
+// the finals bitmap, the narrowed windows and the seed buffer. Eval is
+// called concurrently by the worker pools on a shared automaton, so
+// scratch is pooled (sync.Pool) rather than cached on the automaton:
+// concurrent scans share nothing but the frozen programs.
+type scanScratch struct {
 	checkpoints []int32
 	ends        [][]int32 // per slot: candidate match ends as [lo, hi) runs
 	finals      uint64    // fin bitmap at the document end
-	skipped     int       // bytes the fused skip loop jumped over
+	skipped     int       // bytes the skip loop jumped over
+	windows     []window
 	seed        []int32
+
+	// The read walkers and skip gate of the forward scan (w) and of
+	// EvalBool (bw). The gate's callbacks are bound once per scratch
+	// (newScanScratch) and read the scan in progress — g or p, and doc —
+	// through the scratch, so a scan allocates no closures and the
+	// walker they reach is not moved to the heap per call.
+	w         lazydfa.Walker[multiFlags]
+	bw        lazydfa.Walker[bool]
+	gate      lazydfa.SkipGate
+	g         *multiGroup
+	p         *evalProg
+	doc       string
+	build     func(q int32) *lazydfa.SkipSet
+	buildBool func(q int32) *lazydfa.SkipSet
+	index     func(from, to int, b byte) int
 }
 
-var multiScratchPool = sync.Pool{New: func() any { return new(multiScratch) }}
+var scanPool = sync.Pool{New: func() any { return newScanScratch() }}
 
-// forward is the fused mirror of scanProg.forward: one fused-DFA lookup
-// per byte from the admission mask's start state, recording checkpoints
-// every checkpointStride boundaries, per-member candidate-end runs from
-// the payload's end bitmap, and the finals bitmap at the document end.
-// Returns false on a fused-DFA state-bound overflow.
-func (g *multiGroup) forward(doc string, start int32, ms *multiScratch) bool {
+func newScanScratch() *scanScratch {
+	sc := new(scanScratch)
+	sc.build = func(q int32) *lazydfa.SkipSet { return sc.w.BuildSkipSet(&sc.g.classOf, q, endFree, nil) }
+	// Dead stays a trigger (BuildSkipSet never admits it), so EvalBool's
+	// early-reject exit still fires; a final flag inside the set is
+	// irrelevant mid-document, because only the state at the document
+	// end is consulted and that state is sync-exact.
+	sc.buildBool = func(q int32) *lazydfa.SkipSet { return sc.bw.BuildSkipSet(&sc.p.classOf, q, nil, nil) }
+	sc.index = func(from, to int, b byte) int {
+		if i := strings.IndexByte(sc.doc[from:to], b); i >= 0 {
+			return from + i
+		}
+		return -1
+	}
+	return sc
+}
+
+// endFree is the forward scan's skip-set eligibility: a boundary inside
+// a jump must owe NO member an ends entry, so only states with an
+// all-zero end bitmap may be skipped through. fin bits are only read at
+// the document end, where the state is sync-exact.
+func endFree(f *multiFlags) bool { return f.end == 0 }
+
+// forward runs the end-detection pass: one fused-DFA lookup per byte
+// from start (an admission mask's start state). It records DFA state
+// checkpoints every checkpointStride boundaries, each member's candidate
+// match-end boundaries (as [lo, hi) runs, demultiplexed from the
+// payload's end bitmap) and the finals bitmap at the document end, all
+// into sc. It returns false if the DFA overflowed its state bound — the
+// caller then falls back. A dead frontier ends the pass early: no later
+// boundary can complete any admitted member's match.
+func (g *multiGroup) forward(doc string, start int32, sc *scanScratch) bool {
 	const rlockChunk = 1 << 12
-	w := g.dfa.Walk()
+	sc.w = g.dfa.Walk()
+	// states is the walker's snapshot in a local, for the per-byte
+	// lookup; it is refreshed after every call that may cycle the lock
+	// (Yield, Resolve, and the gate, whose skip-set builds resolve).
+	states := sc.w.States
 	cur := start
-	ms.checkpoints = append(ms.checkpoints[:0], start)
-	for s := range ms.ends {
-		ms.ends[s] = ms.ends[s][:0]
+	sc.checkpoints = append(sc.checkpoints[:0], start)
+	for len(sc.ends) < len(g.autos) {
+		sc.ends = append(sc.ends, nil)
 	}
-	ms.finals = 0
-	ms.skipped = 0
-	var gate lazydfa.SkipGate
+	ends := sc.ends[:len(g.autos)]
+	for s := range ends {
+		ends[s] = ends[s][:0]
+	}
+	sc.finals = 0
+	sc.skipped = 0
+	gate := &sc.gate
 	if !g.noSkip {
+		sc.g, sc.doc = g, doc
+		*gate = lazydfa.SkipGate{}
 		gate.Init(&g.skips)
-		gate.Bind(func(q int32) *lazydfa.SkipSet { return g.skipSet(&w, q) },
-			lazydfa.StringIndex(doc))
+		gate.Bind(sc.build, sc.index)
 	}
+	defer func() {
+		sc.w.Release()
+		sc.g, sc.doc = nil, ""
+	}()
 	for i := 0; i < len(doc); i++ {
 		if i&(rlockChunk-1) == rlockChunk-1 {
-			w.Yield()
+			// Let pending writers in periodically; see EvalBool.
+			sc.w.Yield()
+			states = sc.w.States
 		}
 		c := g.classOf[doc[i]]
-		t := w.States[cur].Trans(c)
-		if t <= dfaDead {
+		t := states[cur].Trans(c)
+		if t <= dfaDead { // rare: unresolved, overflowed or dead
 			if t == dfaUnknown {
-				t = w.Resolve(cur, c)
+				t = sc.w.Resolve(cur, c)
+				states = sc.w.States
 			}
 			if t == dfaOverflow {
-				w.Release()
 				return false
 			}
 			if t == dfaDead {
-				// Every admitted member's frontier died: no later boundary
-				// can complete any member's match (finals stay 0, exactly
-				// like the per-member early exit).
-				w.Release()
-				return true
+				return true // finals stay 0: nothing accepts at the end
 			}
 		}
 		if !g.noSkip {
-			// Same soundness argument as scanProg.forward: skip sets never
-			// contain a state with any end bit (see skipSet), so skipped
-			// boundaries owe no member an ends entry, and the state at each
-			// skipped boundary is sk.Sync(previous byte) — checkpoints
-			// filled during the jump are the true fused states.
-			if sk := gate.Step(cur, t); sk != nil {
+			// The walk is confined to a synchronized state set: jump to the
+			// next byte that can break out. endFree keeps states with any
+			// end bit out of every set, so no skipped boundary owes a member
+			// an ends entry, and the state at each skipped boundary is a
+			// pure function of the byte before it (sk.Sync) — that is the
+			// skip's soundness invariant.
+			sk := gate.Step(cur, t)
+			states = sc.w.States
+			if sk != nil {
 				if j, _ := gate.Jump(sk, i+1, len(doc)); j > i+1 {
+					// Checkpoint every stride boundary in [i+1, j): the jump
+					// bypasses the per-byte append below for them (boundary j
+					// itself is appended there after i advances). Boundary
+					// i+1 holds t — the state the step above just computed —
+					// and every later one holds the sync state of its
+					// preceding (trigger-free) byte.
 					for cb := (i + checkpointStride) / checkpointStride * checkpointStride; cb < j; cb += checkpointStride {
 						if cb == i+1 {
-							ms.checkpoints = append(ms.checkpoints, t)
+							sc.checkpoints = append(sc.checkpoints, t)
 						} else {
-							ms.checkpoints = append(ms.checkpoints, sk.Sync(doc[cb-1]))
+							sc.checkpoints = append(sc.checkpoints, sk.Sync(doc[cb-1]))
 						}
 					}
-					ms.skipped += j - (i + 1)
+					sc.skipped += j - (i + 1)
 					if j-(i+1) >= rlockChunk {
-						w.Yield()
+						sc.w.Yield()
+						states = sc.w.States
 					}
 					t = sk.Sync(doc[j-1])
-					i = j - 1
+					i = j - 1 // boundary j is handled by the normal code below
 				}
 			}
 		}
 		cur = t
 		b := i + 1
 		if b&(checkpointStride-1) == 0 {
-			ms.checkpoints = append(ms.checkpoints, cur)
+			sc.checkpoints = append(sc.checkpoints, cur)
 		}
-		if e := w.States[cur].Payload.end; e != 0 {
+		if e := states[cur].Payload.end; e != 0 {
 			// Demultiplex the boundary to every member whose subset holds
-			// an end state, run-length-encoded per member exactly like the
-			// standalone scan.
+			// an end state, run-length-encoded per member.
 			for eb := e; eb != 0; eb &= eb - 1 {
 				s := bits.TrailingZeros64(eb)
-				runs := ms.ends[s]
+				runs := ends[s]
 				if n := len(runs); n > 0 && runs[n-1] == int32(b) {
 					runs[n-1] = int32(b + 1)
 				} else {
 					runs = append(runs, int32(b), int32(b+1))
 				}
-				ms.ends[s] = runs
+				ends[s] = runs
 			}
 		}
 	}
-	ms.finals = w.States[cur].Payload.fin
-	w.Release()
+	sc.finals = states[cur].Payload.fin
 	return true
 }
 
-// skipSet builds the synchronized skip set around fused state cur.
-// Eligibility requires an all-zero end bitmap: a boundary inside a jump
-// must owe NO member an ends entry. fin bits are only read at the
-// document end, where the state is sync-exact.
-func (g *multiGroup) skipSet(w *lazydfa.Walker[multiFlags], cur int32) *lazydfa.SkipSet {
-	return BuildSkipSet(g.nclasses, g.classOf[:],
-		func(q int32) bool { return q >= dfaStart && w.States[q].Payload.end == 0 },
-		nil,
-		func(q int32, c uint8) (int32, bool) {
-			t := w.States[q].Trans(c)
-			if t == dfaUnknown {
-				t = w.Resolve(q, c)
-			}
-			return t, t != dfaOverflow
-		}, cur)
+// empty reports whether the last forward pass left member slot no
+// boundary where a match can complete: its relation is empty and the
+// simulation never runs.
+func (sc *scanScratch) empty(slot int) bool {
+	return len(sc.ends[slot]) == 0 && sc.finals&(1<<slot) == 0
 }
 
-// seedAt reconstructs member slot's status-0 frontier at boundary lo by
-// replaying the FUSED scan DFA from the nearest checkpoint and
-// projecting the subset onto the member's state range. Because the
-// fused subset is the union of the per-member subsets, the projection
-// minus the base offset is exactly what the member's own seedAt would
-// have produced. The result aliases ms.seed.
-func (g *multiGroup) seedAt(slot int, doc string, lo int, ms *multiScratch) []int32 {
+// narrow runs member slot's backward narrowing over the end runs and
+// finals flag the last forward pass recorded for it, read in place.
+func (g *multiGroup) narrow(slot int, doc string, sc *scanScratch) bool {
+	return g.locs[slot].narrow(g.progs[slot], doc, sc.ends[slot], sc.finals&(1<<slot) != 0, sc)
+}
+
+// simulate runs member slot's tagged simulation inside the windows
+// narrow left in sc, each seeded with its exact pre-core frontier,
+// appending the tuples (shifted by delta) to rel.
+func (g *multiGroup) simulate(slot int, doc string, rel *span.Relation, delta int, arena *span.TupleArena, sc *scanScratch) {
+	run := newEvalRun(g.autos[slot], g.progs[slot], rel, doc, delta, arena)
+	for _, wd := range sc.windows {
+		run.window(wd.lo, wd.hi, g.seedAt(slot, doc, wd.lo, sc), wd.hi == len(doc))
+	}
+	run.release()
+}
+
+// seedAt returns member slot's status-0 states reachable at boundary lo
+// — the exact pre-core frontier of whole-document evaluation, every cell
+// of which carries the all-unset assignment — by replaying the fused
+// scan DFA from the nearest checkpoint and projecting the subset onto
+// the member's state range. Because the fused subset is the union of
+// the per-member subsets, the projection minus the base offset is
+// exactly the member's own frontier. The result aliases sc.seed.
+func (g *multiGroup) seedAt(slot int, doc string, lo int, sc *scanScratch) []int32 {
 	k := lo / checkpointStride
-	cur := ms.checkpoints[k]
+	cur := sc.checkpoints[k]
 	w := g.dfa.Walk()
 	for i := k * checkpointStride; i < lo; i++ {
 		c := g.classOf[doc[i]]
@@ -441,17 +549,17 @@ func (g *multiGroup) seedAt(slot int, doc string, lo int, ms *multiScratch) []in
 		}
 		cur = t
 	}
-	ms.seed = ms.seed[:0]
+	sc.seed = sc.seed[:0]
 	base := g.base[slot]
 	limit := base + int32(g.progs[slot].nstates)
 	status := g.locs[slot].status
 	for _, q := range w.States[cur].Set {
 		if q >= base && q < limit && status[q-base] == 0 {
-			ms.seed = append(ms.seed, q-base)
+			sc.seed = append(sc.seed, q-base)
 		}
 	}
 	w.Release()
-	return ms.seed
+	return sc.seed
 }
 
 // Eval runs every member query over doc in (at most) one fused pass per
@@ -528,12 +636,9 @@ func (m *Multi) evalGroup(g *multiGroup, doc string, by span.Span, rel func(int)
 		m.groupFallback(g, admit, doc, by, rel, arena, mm)
 		return
 	}
-	ms := multiScratchPool.Get().(*multiScratch)
-	defer multiScratchPool.Put(ms)
-	for len(ms.ends) < len(g.autos) {
-		ms.ends = append(ms.ends, nil)
-	}
-	if !g.forward(doc, start, ms) {
+	sc := scanPool.Get().(*scanScratch)
+	defer scanPool.Put(sc)
+	if !g.forward(doc, start, sc) {
 		// Fused DFA overflow: every admitted member of the group falls
 		// back to its standalone pipeline.
 		m.groupFallback(g, admit, doc, by, rel, arena, mm)
@@ -542,46 +647,27 @@ func (m *Multi) evalGroup(g *multiGroup, doc string, by span.Span, rel func(int)
 	if mm != nil {
 		mm.FusedPasses.Inc()
 		mm.FusedBytes.Add(uint64(len(doc)))
-		if ms.skipped > 0 {
-			mm.FusedSkippedBytes.Add(uint64(ms.skipped))
+		if sc.skipped > 0 {
+			mm.FusedSkippedBytes.Add(uint64(sc.skipped))
 		}
 	}
 	delta := by.Start - 1
-	ws := windowPool.Get().(*windowScratch)
-	defer windowPool.Put(ws)
 	for s, a := range g.autos {
-		if admit&(1<<s) == 0 {
-			continue
-		}
-		fin := ms.finals&(1<<s) != 0
-		if len(ms.ends[s]) == 0 && !fin {
-			// No boundary where a match of this member can complete:
-			// its relation is empty; the simulation never runs.
+		if admit&(1<<s) == 0 || sc.empty(s) {
 			continue
 		}
 		r := rel(g.members[s])
 		if len(r.Vars) != len(a.Vars) {
 			panic("vsa: Multi.EvalAppend relation arity does not match member arity")
 		}
-		// Member-view scratch for the backward narrowing: the member's
-		// demultiplexed end runs and finals flag. Copied, not aliased —
-		// ws and ms return to different pools.
-		ws.ends = append(ws.ends[:0], ms.ends[s]...)
-		ws.finalsAtEnd = fin
-		p := g.progs[s]
-		if !g.locs[s].narrow(p, doc, ws) {
+		if !g.narrow(s, doc, sc) {
 			// Backward-narrowing overflow for this member alone: its
 			// standalone EvalAppend takes the same fallback internally.
 			m.memberFallback(g.members[s], doc, by, rel, arena, mm)
 			continue
 		}
 		n0 := len(r.Tuples)
-		run := newEvalRun(a, p, r, doc, delta, arena)
-		for _, wd := range ws.windows {
-			seed := g.seedAt(s, doc, wd.lo, ms)
-			run.window(wd.lo, wd.hi, seed, wd.hi == len(doc))
-		}
-		run.release()
+		g.simulate(s, doc, r, delta, arena, sc)
 		if mm != nil {
 			mm.DemuxTuples.Add(uint64(len(r.Tuples) - n0))
 		}

@@ -1,10 +1,6 @@
 package vsa
 
-import (
-	"sync/atomic"
-
-	"repro/internal/lazydfa"
-)
+import "sync/atomic"
 
 // This file implements literal prefiltering: extracting required
 // literal evidence from a compiled automaton and using it to keep the
@@ -18,13 +14,13 @@ import (
 //     EvalBool reject it with one vectorized strings.Contains before
 //     any scan ("admission gate").
 //  2. Per-DFA-state trigger sets: a scan confined to a small closed,
-//     1-byte-synchronizing state set (lazydfa.SkipSet) advances to the
-//     next trigger byte with bytes.IndexByte instead of stepping the
-//     transition table per byte. Every non-trigger byte maps the whole
-//     set to one state, so the DFA state at any skipped boundary is
-//     Sync(previous byte): forward-scan checkpoints filled during a
-//     skip are the true states and window re-seeding (localizer.seedAt)
-//     is untouched. A single self-looping state is the degenerate
+//     1-byte-synchronizing state set (lazydfa.SkipSet, built by
+//     Walker.BuildSkipSet) advances to the next trigger byte with
+//     bytes.IndexByte instead of stepping the transition table per
+//     byte. Every non-trigger byte maps the whole set to one state, so
+//     the DFA state at any skipped boundary is Sync(previous byte):
+//     forward-scan checkpoints filled during a skip are the true states
+//     and window re-seeding (multiGroup.seedAt) is untouched. A single self-looping state is the degenerate
 //     one-element set; the set form is what makes word-structured text
 //     skippable, where the scan oscillates between a mid-word and a
 //     post-separator state and no single state loops for long.
@@ -38,8 +34,8 @@ import (
 //
 // Deliberately NOT done: skipping mid-scan with bytes.Index(factor).
 // A multi-byte jump would teleport the DFA over partial factor
-// occurrences that change its state, corrupting the checkpoints seedAt
-// replays from. Only the state-exact single-byte trigger skip is sound
+// occurrences that change its state, corrupting the checkpoints
+// multiGroup.seedAt replays from. Only the state-exact single-byte trigger skip is sound
 // inside the scan.
 
 // PrefilterReason says why the factor admission gate of an automaton is
@@ -445,169 +441,4 @@ func containsSub(s, sub []byte) bool {
 		}
 	}
 	return false
-}
-
-// ---------- skip-set building for the scan DFAs ----------
-
-// skipSetBool builds the synchronized skip set around state cur of the
-// Boolean-evaluation DFA. Dead stays a trigger so the early-reject exit
-// in EvalBool still fires; any final flag inside the set is irrelevant
-// mid-document because only the state at the end of the document is
-// consulted, and that state is sync-exact.
-func (p *evalProg) skipSetBool(w *lazydfa.Walker[bool], cur int32) *lazydfa.SkipSet {
-	return BuildSkipSet(p.nclasses, p.classOf[:],
-		func(q int32) bool { return q >= dfaStart },
-		nil,
-		func(q int32, c uint8) (int32, bool) {
-			t := w.States[q].Trans(c)
-			if t == dfaUnknown {
-				t = w.Resolve(q, c)
-			}
-			return t, t != dfaOverflow
-		}, cur)
-}
-
-// skipSetScan is the forward-scan variant. States flagged scanFlagEnd
-// never enter a skip set: every boundary there is a candidate match end
-// that the run-length encoder must see. scanFlagFinals is only read at
-// the end of the document, where the state is sync-exact.
-func (s *scanProg) skipSetScan(p *evalProg, w *lazydfa.Walker[uint8], cur int32) *lazydfa.SkipSet {
-	return BuildSkipSet(s.nclasses, p.classOf[:],
-		func(q int32) bool { return q >= dfaStart && w.States[q].Payload&scanFlagEnd == 0 },
-		nil,
-		func(q int32, c uint8) (int32, bool) {
-			t := w.States[q].Trans(c)
-			if t == dfaUnknown {
-				t = w.Resolve(q, c)
-			}
-			return t, t != dfaOverflow
-		}, cur)
-}
-
-// buildRounds bounds the trigger/closure fixpoint iteration of
-// BuildSkipSet. Real sets settle in two or three rounds (the first
-// round may chase a literal's progress chain before the synchronization
-// test prunes it); failure to converge means "unskippable".
-const buildRounds = 6
-
-// BuildSkipSet computes the synchronized skip set containing DFA state
-// cur, or nil when none exists. The result satisfies, for every byte b
-// outside its trigger set: all states of the set transition on b to the
-// SAME state (recorded in the sync table), that state is inside the set,
-// it is eligible, and no member raises an event on b. Those invariants
-// are what make a jump over trigger-free bytes exact: the state at any
-// boundary inside the jump is sync[previous byte], regardless of where
-// in the set the scan was.
-//
-// probe returns a state's transition on a class (ok=false aborts the
-// build — e.g. an Overflow row is unknowable). eligible vetoes states
-// that may not be skipped through (sentinels, states with per-boundary
-// obligations such as scanFlagEnd). eventful (optional) marks
-// state×class pairs where a client event fires; those classes trigger.
-// classOf maps bytes to classes. Exposed for core's splitter scanner,
-// the fourth lazydfa client.
-//
-// The fixpoint alternates two passes: classify every class against the
-// candidate set (trigger iff the images differ, leave the set, are
-// ineligible, or raise events), then re-close {cur} under the
-// non-trigger classes. A closure that would exceed MaxSkipStates is
-// truncated and the round marked incomplete — the next round's
-// classification over the truncated set prunes the expansion (this is
-// how a literal's progress chain, reachable in one step but not
-// synchronized, is cut). Convergence requires a complete closure that
-// reproduces the set.
-func BuildSkipSet(nclasses int, classOf []uint8,
-	eligible func(q int32) bool,
-	eventful func(q int32, c uint8) bool,
-	probe func(q int32, c uint8) (int32, bool),
-	cur int32) *lazydfa.SkipSet {
-	if !eligible(cur) {
-		return nil
-	}
-	set := []int32{cur}
-	trig := make([]bool, nclasses)
-	img := make([]int32, nclasses)
-	converged := false
-	for round := 0; round < buildRounds && !converged; round++ {
-		for c := 0; c < nclasses; c++ {
-			trig[c] = false
-			img[c] = -1
-			for _, q := range set {
-				t, ok := probe(q, uint8(c))
-				if !ok {
-					return nil
-				}
-				if eventful != nil && eventful(q, uint8(c)) {
-					trig[c] = true
-					break
-				}
-				if img[c] == -1 {
-					img[c] = t
-				} else if img[c] != t {
-					trig[c] = true
-					break
-				}
-			}
-			if !trig[c] && !eligible(img[c]) {
-				trig[c] = true
-			}
-		}
-		next := []int32{cur}
-		complete := true
-		for qi := 0; qi < len(next); qi++ {
-			for c := 0; c < nclasses; c++ {
-				if trig[c] {
-					continue
-				}
-				t, ok := probe(next[qi], uint8(c))
-				if !ok {
-					return nil
-				}
-				if !containsState(next, t) {
-					if len(next) == lazydfa.MaxSkipStates {
-						complete = false
-						continue
-					}
-					next = append(next, t)
-				}
-			}
-		}
-		converged = complete && sameStates(next, set)
-		set = next
-	}
-	if !converged {
-		return nil
-	}
-	var sync [256]int32
-	var triggers []byte
-	for x := 0; x < 256; x++ {
-		if c := classOf[x]; trig[c] {
-			sync[x] = -1
-			triggers = append(triggers, byte(x))
-		} else {
-			sync[x] = img[c]
-		}
-	}
-	return lazydfa.NewSkipSet(triggers, set, &sync)
-}
-
-func containsState(set []int32, q int32) bool {
-	for _, v := range set {
-		if v == q {
-			return true
-		}
-	}
-	return false
-}
-
-func sameStates(a, b []int32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for _, q := range a {
-		if !containsState(b, q) {
-			return false
-		}
-	}
-	return true
 }

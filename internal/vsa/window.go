@@ -15,7 +15,10 @@ package vsa
 //     completes, plus whether the document can accept at its end through
 //     final operation sets. A document with no marked boundary and no
 //     end-acceptance has an empty relation: the scan subsumes the old
-//     EvalBool prescan in the same single pass.
+//     EvalBool prescan in the same single pass. A lone automaton runs it
+//     as the one-member case of the fused scan (multiGroup.forward in
+//     multi.go): the localizer holds that group, built over this file's
+//     scanProg tables.
 //  2. Backward start-narrowing: from each candidate end, a DFA over the
 //     reversed core automaton (built with automata.Reverse; see
 //     reverse.go) walks right to left to the earliest boundary where that
@@ -26,20 +29,14 @@ package vsa
 //
 // The tagged simulation then runs per window, seeded with the exact set
 // of status-0 states reachable at the window start (reconstructed from
-// forward-scan checkpoints), with positions kept in document coordinates.
-// Every run's core lies inside a window by construction, and every seeded
-// state is genuinely reachable, so windowed evaluation is byte-identical
-// to whole-document evaluation (fuzz-verified against EvalReference).
-// When the analysis cannot apply — nullary automata, no per-state status,
-// or a DFA state-bound overflow — Eval falls back to the PR 2 path:
-// EvalBool prescan plus whole-document simulation.
-
-import (
-	"strings"
-	"sync"
-
-	"repro/internal/lazydfa"
-)
+// forward-scan checkpoints by multiGroup.seedAt), with positions kept in
+// document coordinates. Every run's core lies inside a window by
+// construction, and every seeded state is genuinely reachable, so
+// windowed evaluation is byte-identical to whole-document evaluation
+// (fuzz-verified against EvalReference). When the analysis cannot apply
+// — nullary automata, no per-state status, or a DFA state-bound overflow
+// — Eval falls back to the whole-document path: EvalBool prescan plus
+// full simulation.
 
 // checkpointStride is the boundary spacing of forward-scan DFA state
 // checkpoints (power of two); window seeding replays at most this many
@@ -54,8 +51,9 @@ type window struct {
 }
 
 // localizer is the compiled bidirectional match-window machinery of an
-// automaton: per-state statuses, the forward scan program and the
-// backward narrowing program. Built once under localOnce and read-only
+// automaton: per-state statuses, the forward scan tables, the one-member
+// fused group that runs the forward scan over them, and the backward
+// narrowing program. Built once under localOnce and read-only
 // afterwards; the lazy DFAs beneath it carry their own locks.
 type localizer struct {
 	ok     bool
@@ -63,6 +61,7 @@ type localizer struct {
 
 	status []Status
 	scan   *scanProg
+	group  *multiGroup
 	rev    *revProg
 }
 
@@ -100,47 +99,32 @@ func (a *Automaton) buildLocalizer() *localizer {
 		end[q] = st[q] == all && uni[q]
 	}
 	loc.status = st
-	loc.scan = buildScanProg(p, a.Start, end)
-	loc.scan.noSkip = a.prefDisabled
+	loc.scan = buildScanProg(p, end)
 	loc.rev = buildRevProg(p, a, st, end)
 	loc.ok = true
+	// Built from loc directly: a.localizer() would re-enter localOnce.
+	loc.group = newGroup([]*Automaton{a}, []*localizer{loc})
 	return loc
 }
 
 // ---------- forward end-detection ----------
 
-const (
-	// scanFlagEnd marks a scan-DFA subset containing an emit state: the
-	// current boundary is a candidate match end.
-	scanFlagEnd uint8 = 1 << iota
-	// scanFlagFinals marks a subset containing a state with final
-	// operation sets: at the document end this boundary can accept.
-	scanFlagFinals
-)
-
 // scanProg is the forward end-detection program: the automaton with
 // variable operations stripped and emit states truncated (their outgoing
 // edges removed, mirroring evaluation's emit-and-drop), compiled into
-// per-(state, class) successor lists plus a lazily determinized DFA
-// (internal/lazydfa) whose per-state payload is the end/finals flag byte
-// of the subset.
+// per-(state, class) successor lists. The fused scan DFA (multi.go)
+// determinizes it lazily and reads end/hasFinal into its per-member
+// end/fin bitmaps.
 type scanProg struct {
-	nstates  int
 	nclasses int
 	succ     [][]int32 // per state*nclasses: deduplicated successors
 	end      []bool
 	hasFinal []bool
-	dfa      *lazydfa.DFA[uint8]
-	// skips memoizes per-DFA-state trigger sets for the forward-scan
-	// skip loop (see prefilter.go); noSkip honors DisablePrefilter.
-	skips  lazydfa.SkipCache
-	noSkip bool
 }
 
-func buildScanProg(p *evalProg, start int, end []bool) *scanProg {
+func buildScanProg(p *evalProg, end []bool) *scanProg {
 	nc, n := p.nclasses, p.nstates
 	s := &scanProg{
-		nstates:  n,
 		nclasses: nc,
 		succ:     make([][]int32, n*nc),
 		end:      end,
@@ -165,180 +149,22 @@ func buildScanProg(p *evalProg, start int, end []bool) *scanProg {
 			s.succ[q*nc+c] = out
 		}
 	}
-	s.dfa = lazydfa.New(lazydfa.Config[uint8]{
-		Classes:   nc,
-		States:    n,
-		MaxStates: maxDFAStates,
-		Succ: func(q int32, c uint8, emit func(int32)) {
-			for _, to := range s.succ[int(q)*nc+int(c)] {
-				emit(to)
-			}
-		},
-		Payload: s.flagsOf,
-	})
-	s.dfa.Intern([]int32{int32(start)}) // = dfaStart
 	return s
-}
-
-func (s *scanProg) flagsOf(set []int32) uint8 {
-	var f uint8
-	for _, q := range set {
-		if s.end[q] {
-			f |= scanFlagEnd
-		}
-		if s.hasFinal[q] {
-			f |= scanFlagFinals
-		}
-	}
-	return f
-}
-
-// forward runs the end-detection pass: one truncated-DFA lookup per byte.
-// It records candidate match-end boundaries (as [lo, hi) runs), DFA state
-// checkpoints every checkpointStride boundaries, and whether the document
-// can accept at its end, all into ws. It returns false if the DFA
-// overflowed its state bound — the caller then falls back to
-// whole-document evaluation. A dead frontier ends the pass early: no
-// later boundary can complete a match.
-func (s *scanProg) forward(p *evalProg, doc string, ws *windowScratch) bool {
-	const rlockChunk = 1 << 12
-	ws.w = s.dfa.Walk()
-	// states is the walker's snapshot in a local, for the per-byte
-	// lookup; it is refreshed after every call that may cycle the lock
-	// (Yield, Resolve, and the gate, whose skip-set builds resolve).
-	states := ws.w.States
-	cur := dfaStart
-	ws.checkpoints = append(ws.checkpoints[:0], dfaStart)
-	ws.ends = ws.ends[:0]
-	ws.finalsAtEnd = false
-	ws.skippedBytes = 0
-	gate := &ws.gate
-	if !s.noSkip {
-		ws.scan, ws.prog, ws.doc = s, p, doc
-		*gate = lazydfa.SkipGate{}
-		gate.Init(&s.skips)
-		gate.Bind(ws.build, ws.index)
-	}
-	defer func() {
-		ws.w.Release()
-		ws.scan, ws.prog, ws.doc = nil, nil, ""
-	}()
-	for i := 0; i < len(doc); i++ {
-		if i&(rlockChunk-1) == rlockChunk-1 {
-			// Let pending writers in periodically; see EvalBool.
-			ws.w.Yield()
-			states = ws.w.States
-		}
-		c := p.classOf[doc[i]]
-		t := states[cur].Trans(c)
-		if t <= dfaDead { // rare: unresolved, overflowed or dead
-			if t == dfaUnknown {
-				t = ws.w.Resolve(cur, c)
-				states = ws.w.States
-			}
-			if t == dfaOverflow {
-				return false
-			}
-			if t == dfaDead {
-				return true
-			}
-		}
-		if !s.noSkip {
-			// The walk is confined to a synchronized state set: jump to the
-			// next byte that can break out. skipSetScan keeps scanFlagEnd
-			// states out of every set, so no skipped boundary could have
-			// needed an ends entry, and the state at each skipped boundary
-			// is a pure function of the byte before it (sk.Sync) — that is
-			// the skip's soundness invariant.
-			sk := gate.Step(cur, t)
-			states = ws.w.States
-			if sk != nil {
-				if j, _ := gate.Jump(sk, i+1, len(doc)); j > i+1 {
-					// Checkpoint every stride boundary in [i+1, j): the jump
-					// bypasses the per-byte append below for them (boundary j
-					// itself is appended there after i advances). Boundary
-					// i+1 holds t — the state the step above just computed —
-					// and every later one holds the sync state of its
-					// preceding (trigger-free) byte.
-					for cb := (i + checkpointStride) / checkpointStride * checkpointStride; cb < j; cb += checkpointStride {
-						if cb == i+1 {
-							ws.checkpoints = append(ws.checkpoints, t)
-						} else {
-							ws.checkpoints = append(ws.checkpoints, sk.Sync(doc[cb-1]))
-						}
-					}
-					ws.skippedBytes += j - (i + 1)
-					if j-(i+1) >= rlockChunk {
-						ws.w.Yield()
-						states = ws.w.States
-					}
-					t = sk.Sync(doc[j-1])
-					i = j - 1 // boundary j is handled by the normal code below
-				}
-			}
-		}
-		cur = t
-		b := i + 1
-		if b&(checkpointStride-1) == 0 {
-			ws.checkpoints = append(ws.checkpoints, cur)
-		}
-		if states[cur].Payload&scanFlagEnd != 0 {
-			if n := len(ws.ends); n > 0 && ws.ends[n-1] == int32(b) {
-				ws.ends[n-1] = int32(b + 1)
-			} else {
-				ws.ends = append(ws.ends, int32(b), int32(b+1))
-			}
-		}
-	}
-	ws.finalsAtEnd = states[cur].Payload&scanFlagFinals != 0
-	return true
-}
-
-// seedAt returns the status-0 states reachable at boundary lo — the exact
-// pre-core frontier of whole-document evaluation, every cell of which
-// carries the all-unset assignment — reconstructed by replaying the scan
-// DFA from the nearest checkpoint. The result aliases ws.seed.
-func (loc *localizer) seedAt(p *evalProg, doc string, lo int, ws *windowScratch) []int32 {
-	s := loc.scan
-	k := lo / checkpointStride
-	cur := ws.checkpoints[k]
-	w := s.dfa.Walk()
-	for i := k * checkpointStride; i < lo; i++ {
-		c := p.classOf[doc[i]]
-		t := w.States[cur].Trans(c)
-		if t == dfaUnknown {
-			// The forward pass resolved every transition on this path;
-			// only a concurrent rebuild could leave a gap. Resolve again.
-			t = w.Resolve(cur, c)
-		}
-		if t == dfaDead || t == dfaOverflow {
-			cur = dfaDead
-			break
-		}
-		cur = t
-	}
-	ws.seed = ws.seed[:0]
-	for _, q := range w.States[cur].Set {
-		if loc.status[q] == 0 {
-			ws.seed = append(ws.seed, q)
-		}
-	}
-	w.Release()
-	return ws.seed
 }
 
 // ---------- backward start-narrowing ----------
 
-// narrow runs the backward pass over the candidate ends collected by
-// forward, right to left. Ends whose backward frontiers touch share one
+// narrow runs the backward pass over one member's candidate ends (the
+// [lo, hi) runs the forward scan recorded for it) and finals-at-end
+// flag, right to left. Ends whose backward frontiers touch share one
 // union frontier and merge into a single window, so windows come out
 // disjoint and each run's core — traced by the reversed program from the
 // end where the run completes down to its first variable operation — lies
-// entirely inside one of them. It fills ws.windows in document order and
+// entirely inside one of them. It fills sc.windows in document order and
 // returns false if the backward DFA overflowed its state bound.
-func (loc *localizer) narrow(p *evalProg, doc string, ws *windowScratch) bool {
+func (loc *localizer) narrow(p *evalProg, doc string, ends []int32, fin bool, sc *scanScratch) bool {
 	r := loc.rev
-	ws.windows = ws.windows[:0]
+	sc.windows = sc.windows[:0]
 	activeTop, sMin := -1, -1
 	cur := dfaDead
 	b := 0
@@ -346,7 +172,7 @@ func (loc *localizer) narrow(p *evalProg, doc string, ws *windowScratch) bool {
 	steps := 0
 	flush := func() {
 		if activeTop >= 0 && sMin >= 0 {
-			ws.windows = append(ws.windows, window{sMin, activeTop})
+			sc.windows = append(sc.windows, window{sMin, activeTop})
 		}
 		activeTop, sMin = -1, -1
 	}
@@ -404,11 +230,11 @@ func (loc *localizer) narrow(p *evalProg, doc string, ws *windowScratch) bool {
 			sMin = e
 		}
 	}
-	if ws.finalsAtEnd {
+	if fin {
 		seedPoint(len(doc), true)
 	}
-	for i := len(ws.ends); i >= 2 && !overflow; i -= 2 {
-		lo, hi := int(ws.ends[i-2]), int(ws.ends[i-1])
+	for i := len(ends); i >= 2 && !overflow; i -= 2 {
+		lo, hi := int(ends[i-2]), int(ends[i-1])
 		for e := hi - 1; e >= lo && !overflow; e-- {
 			seedPoint(e, false)
 		}
@@ -423,60 +249,8 @@ func (loc *localizer) narrow(p *evalProg, doc string, ws *windowScratch) bool {
 	flush()
 	// Windows were produced right to left; evaluation wants document
 	// order (it also keeps checkpoint replay cache-friendly).
-	for i, j := 0, len(ws.windows)-1; i < j; i, j = i+1, j-1 {
-		ws.windows[i], ws.windows[j] = ws.windows[j], ws.windows[i]
+	for i, j := 0, len(sc.windows)-1; i < j; i, j = i+1, j-1 {
+		sc.windows[i], sc.windows[j] = sc.windows[j], sc.windows[i]
 	}
 	return true
-}
-
-// windowScratch holds the per-evaluation buffers of the localizer. Eval
-// is called concurrently by the worker pools on a shared automaton, so
-// scratch is pooled (sync.Pool) rather than cached on the automaton:
-// concurrent windows share nothing but the frozen programs.
-type windowScratch struct {
-	checkpoints []int32
-	ends        []int32 // candidate match-end boundaries, as [lo, hi) runs
-	windows     []window
-	seed        []int32
-	finalsAtEnd bool
-	// skippedBytes counts bytes the forward pass jumped over via the
-	// literal-prefilter skip loop; flushed into EvalMetrics by EvalAppend.
-	skippedBytes int
-
-	// The forward pass's read walker and skip gate. The gate's
-	// callbacks are bound once per scratch (newWindowScratch) and read
-	// the scan in progress — scan, prog, doc, set by forward — through
-	// the scratch, so a forward pass allocates no closures and the
-	// walker they reach is not moved to the heap per call.
-	w     lazydfa.Walker[uint8]
-	gate  lazydfa.SkipGate
-	scan  *scanProg
-	prog  *evalProg
-	doc   string
-	build func(q int32) *lazydfa.SkipSet
-	index func(from, to int, b byte) int
-}
-
-var windowPool = sync.Pool{New: func() any { return newWindowScratch() }}
-
-func newWindowScratch() *windowScratch {
-	ws := new(windowScratch)
-	ws.build = func(q int32) *lazydfa.SkipSet { return ws.scan.skipSetScan(ws.prog, &ws.w, q) }
-	ws.index = func(from, to int, b byte) int {
-		if i := strings.IndexByte(ws.doc[from:to], b); i >= 0 {
-			return from + i
-		}
-		return -1
-	}
-	return ws
-}
-
-func sortInt32s(xs []int32) {
-	// Subsets are tiny (frontier-sized); insertion sort beats sort.Slice
-	// and allocates nothing.
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
 }

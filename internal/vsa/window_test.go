@@ -182,6 +182,32 @@ func TestWindowedEvalNonLocalizableFallsBack(t *testing.T) {
 	}
 }
 
+// TestEvalForwardOverflowFallsBack forces the single-query forward-scan
+// overflow rung: the subset-blowup extractor localizes, but its scan DFA
+// outgrows the state bound on a long random a/b document, so Eval must
+// fall back to whole-document evaluation, agree with the reference, and
+// count the fallback.
+func TestEvalForwardOverflowFallsBack(t *testing.T) {
+	a := extractorBlowup(16)
+	if loc := a.localizer(); !loc.ok {
+		t.Fatalf("blowup extractor must localize (the rung under test is the scan overflow): %s", loc.reason)
+	}
+	var m EvalMetrics
+	a.SetEvalMetrics(&m)
+	rng := rand.New(rand.NewSource(42))
+	var b strings.Builder
+	for i := 0; i < 1<<14; i++ {
+		b.WriteByte("ab"[rng.Intn(2)])
+	}
+	doc := b.String()
+	if got, want := a.Eval(doc), a.EvalReference(doc); !got.Equal(want) {
+		t.Fatalf("overflow fallback diverged from reference: %d tuples vs %d", got.Len(), want.Len())
+	}
+	if got := m.Fallbacks.Load(); got != 1 {
+		t.Errorf("Fallbacks = %d, want 1 (the forward scan's overflow)", got)
+	}
+}
+
 // TestWindowedEvalConcurrent hammers one shared automaton from many
 // goroutines so the race detector sees the scan and reverse DFA caches
 // being built and read concurrently.
